@@ -77,12 +77,11 @@ PR 10 adds ``--snapshot-sweep``: the epoch-keyed snapshot engine
 (``repro.storage.snapshots``) across its three consumers
 (``BENCH_PR10.json`` at the repo root is the committed copy).  Leg 1
 drives repeat advise/whatif serve traffic at unchanged epochs, leg 2
-mixed-DML serve traffic, leg 3 the process-pool delta-ship protocol
-vs the legacy full-payload re-ship.  In-run gates: zero re-pickles at
-unchanged epochs, single-collection DML re-serializes only the touched
+mixed-DML serve traffic, leg 3 the process-pool delta-sync protocol.
+In-run gates: zero re-pickles at unchanged epochs, single-collection DML re-serializes only the touched
 collection, the backed-off epoch gate validates more reads than it
 wastes under free-running mixed traffic, delta syncs ship <= 1/3 of
-the full payload, and every store-backed result is bit-identical to
+the base payload, and every store-backed result is bit-identical to
 its fresh-pickle baseline.
 """
 
@@ -99,6 +98,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import IndexAdvisor, ParallelWhatIfSession, WhatIfSession
+from repro.cli import _latency_percentile
 from repro.core.config import IndexConfiguration
 from repro.parallel import available_workers
 from repro.storage.index import IndexValueType
@@ -543,10 +543,12 @@ def dml_bench(name, num_ops=150, rng_seed=5):
 
 
 def scan_bench(name, repeats=5):
-    """Scan-heavy query execution: synopsis bitmap resolution vs the
-    reference tree walk, on identical databases with identical results."""
-    from repro.optimizer.executor import Executor
+    """Scan-heavy query execution: the executor's synopsis bitmap
+    resolution vs the reference tree walk (``evaluate_path`` over every
+    document), on identical databases with identical results."""
+    from repro.optimizer.executor import Executor, _render_result
     from repro.query import parse_statement
+    from repro.xpath.evaluator import evaluate_path
 
     statements = [
         parse_statement("COLLECTION('SDOC')/Security/SecInfo/*/Sector"),
@@ -554,25 +556,33 @@ def scan_bench(name, repeats=5):
         parse_statement("COLLECTION('ODOC')//Order/Value"),
     ]
 
-    def run(use_synopsis):
-        database, _ = build(name)
-        executor = Executor(database, use_synopsis=use_synopsis)
+    def walk(database, statement):
+        documents = list(database.collection(statement.collection))
+        nodes = [
+            node
+            for document in documents
+            for node in evaluate_path(document, statement.binding_path)
+        ]
+        output = tuple(_render_result(node, statement) for node in nodes)
+        return len(nodes), len(documents), output
+
+    def synopsis(executor, statement):
+        result = executor.execute(statement, collect_output=True)
+        return result.rows, result.docs_examined, tuple(result.output)
+
+    def run(run_statement, target):
         best = float("inf")
         outputs = None
         for _ in range(repeats):
             start = time.perf_counter()
-            outputs = [
-                (r.rows, r.docs_examined, tuple(r.output))
-                for r in (
-                    executor.execute(s, collect_output=True)
-                    for s in statements
-                )
-            ]
+            outputs = [run_statement(target, s) for s in statements]
             best = min(best, time.perf_counter() - start)
         return best, outputs
 
-    walk_seconds, walk_outputs = run(use_synopsis=False)
-    synopsis_seconds, synopsis_outputs = run(use_synopsis=True)
+    walk_seconds, walk_outputs = run(walk, build(name)[0])
+    synopsis_seconds, synopsis_outputs = run(
+        synopsis, Executor(build(name)[0])
+    )
     if synopsis_outputs != walk_outputs:  # pragma: no cover - breach
         raise AssertionError("synopsis executor diverged from tree walk")
     rows = sum(out[0] for out in walk_outputs)
@@ -1212,15 +1222,6 @@ SERVE_READ_WORKER_COUNTS = (1, 2, 4)
 SERVE_READ_SPEEDUP_FLOOR = 2.0
 
 
-def _latency_percentile(values, fraction):
-    """Nearest-rank percentile (same rule as the CLI summary)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-    return ordered[rank]
-
-
 def _latency_build(smoke):
     scale = 60 if smoke else 120
     database = tpox.build_database(
@@ -1482,8 +1483,8 @@ def run_serve_latency(smoke=False):
 
 SNAPSHOT_SEED = 7
 SNAPSHOT_BUDGET = 50_000
-#: The delta-ship gate: bytes shipped per DML sync must be at most this
-#: fraction of the full base payload the legacy protocol re-shipped.
+#: The delta-sync gate: bytes shipped per DML sync must be at most this
+#: fraction of the base payload a fresh pool ships.
 SNAPSHOT_DELTA_FRACTION = 1.0 / 3.0
 
 
@@ -1703,12 +1704,11 @@ def snapshot_serve_dml_bench(smoke):
 
 
 def snapshot_workers_bench(smoke):
-    """Leg 3: the process-pool delta-ship sweep.  Two advisor runs over
-    one session with single-collection DML in between, serial vs
-    delta-shipped vs legacy full-payload process pools.  Gates: (a) both
-    pool protocols reproduce the serial pair bit-identically; (b) the
-    delta protocol ships one base + deltas totalling at most
-    ``SNAPSHOT_DELTA_FRACTION`` of the legacy full payload per DML."""
+    """Leg 3: the process-pool delta-sync sweep.  Two advisor runs over
+    one session with single-collection DML in between, serial vs a
+    process pool.  Gates: (a) the pool reproduces the serial pair
+    bit-identically; (b) it ships one base, then per DML a sync of at
+    most ``SNAPSHOT_DELTA_FRACTION`` of that base payload."""
     from repro.query.workload import Workload
     from repro.storage.snapshots import SnapshotStore
 
@@ -1746,56 +1746,43 @@ def snapshot_workers_bench(smoke):
         WhatIfSession
     )
 
-    def pool_factory(delta_ship):
-        return lambda db: ParallelWhatIfSession(
+    first, second, stats, seconds = advise_pair(
+        lambda db: ParallelWhatIfSession(
             db,
             workers=2,
             executor="process",
             min_batch=1,
-            snapshot_store=SnapshotStore() if delta_ship else None,
-            delta_ship=delta_ship,
+            snapshot_store=SnapshotStore(),
         )
-
-    record = {"serial_seconds": serial_seconds, "modes": {}}
-    shipping_by_mode = {}
-    for label, delta_ship in (("delta", True), ("legacy", False)):
-        first, second, stats, seconds = advise_pair(pool_factory(delta_ship))
-        # Gate (a): bit-identical to the serial pair.
-        if (first, second) != (
-            serial_first,
-            serial_second,
-        ):  # pragma: no cover - contract breach
-            raise AssertionError(
-                f"{label} process pool diverged from the serial pair"
-            )
-        shipping = stats["workers"]["shipping"]
-        shipping_by_mode[label] = shipping
-        record["modes"][label] = {
-            "seconds": seconds,
-            "shipping": shipping,
-            "bit_identical": True,
-        }
-    delta = shipping_by_mode["delta"]
-    legacy = shipping_by_mode["legacy"]
-    if delta["delta_syncs"] < 1 or delta["rebases"]:  # pragma: no cover
+    )
+    # Gate (a): bit-identical to the serial pair.
+    if (first, second) != (
+        serial_first,
+        serial_second,
+    ):  # pragma: no cover - contract breach
+        raise AssertionError("process pool diverged from the serial pair")
+    shipping = stats["workers"]["shipping"]
+    record = {
+        "serial_seconds": serial_seconds,
+        "pool_seconds": seconds,
+        "shipping": shipping,
+        "bit_identical": True,
+    }
+    if shipping["delta_syncs"] < 1 or shipping["rebases"]:  # pragma: no cover
         raise AssertionError(
-            f"delta protocol did not exercise the delta lane: {delta}"
+            f"delta protocol did not exercise the delta lane: {shipping}"
         )
-    if legacy["legacy_ships"] < 2:  # pragma: no cover - contract breach
-        raise AssertionError(
-            f"legacy protocol did not re-ship after DML: {legacy}"
-        )
-    # Gate (b): delta bytes per sync <= 1/3 of the legacy full payload.
-    full_payload = legacy["legacy_bytes"] / legacy["legacy_ships"]
-    per_sync = delta["delta_bytes"] / delta["delta_syncs"]
-    ratio = per_sync / full_payload
+    # Gate (b): delta bytes per sync <= 1/3 of the base payload.
+    base_payload = shipping["base_bytes"] / shipping["base_ships"]
+    per_sync = shipping["delta_bytes"] / shipping["delta_syncs"]
+    ratio = per_sync / base_payload
     if ratio > SNAPSHOT_DELTA_FRACTION:  # pragma: no cover
         raise AssertionError(
-            f"delta sync shipped {ratio:.2%} of the full payload "
+            f"delta sync shipped {ratio:.2%} of the base payload "
             f"(gate: {SNAPSHOT_DELTA_FRACTION:.2%})"
         )
     record["delta_bytes_per_sync"] = per_sync
-    record["full_payload_bytes"] = full_payload
+    record["base_payload_bytes"] = base_payload
     record["delta_fraction"] = ratio
     record["delta_fraction_gate"] = SNAPSHOT_DELTA_FRACTION
     return record
@@ -1819,14 +1806,14 @@ def run_snapshots(smoke=False):
                 "*_seconds fields are informational wall clock; the "
                 "gates (zero re-pickles at unchanged epochs, touched-"
                 "only re-serialization, validated-reads dominance, "
-                "delta bytes <= 1/3 of full payload, bit-identity to "
+                "delta bytes <= 1/3 of base payload, bit-identity to "
                 "fresh pickles) are asserted in-run"
             ),
         },
         "snapshots": {
             "repeat_advise": snapshot_repeat_advise_bench(smoke),
             "serve_dml": snapshot_serve_dml_bench(smoke),
-            "workers_delta_ship": snapshot_workers_bench(smoke),
+            "workers_delta_sync": snapshot_workers_bench(smoke),
         },
     }
 

@@ -17,6 +17,7 @@ single ``;``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -512,12 +513,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _latency_percentile(values, fraction: float) -> float:
-    """Nearest-rank percentile (no numpy in the base image)."""
+    """Nearest-rank percentile: the ``ceil(fraction * n)``-th smallest
+    value (no numpy in the base image)."""
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, int(fraction * len(ordered))))
-    return ordered[rank]
+    # Rounding first keeps float noise (0.07 * 100 == 7.000000000000001)
+    # from pushing a whole-number rank up by one.
+    rank = math.ceil(round(fraction * len(ordered), 9)) - 1
+    return ordered[min(len(ordered) - 1, max(0, rank))]
 
 
 def cmd_server(args: argparse.Namespace) -> int:

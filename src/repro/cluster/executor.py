@@ -29,7 +29,7 @@ bit-identical to a single database's (pinned by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.optimizer.executor import ExecutionResult, Executor
 from repro.query.model import InsertStatement, Statement
@@ -39,19 +39,12 @@ class ShardExecutor(Executor):
     """An :class:`Executor` bound to one replica of one shard, writing
     through the cluster."""
 
-    def __init__(
-        self,
-        cluster,
-        shard: int,
-        replica: int,
-        use_synopsis: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, cluster, shard: int, replica: int) -> None:
         super().__init__(
             cluster.replica_database(shard, replica),
             # Share the router's per-replica planning session, so
             # routing decisions and execution plans hit one cache.
             session=cluster.router.session_for(shard, replica),
-            use_synopsis=use_synopsis,
         )
         self.cluster = cluster
         self.shard = shard
@@ -72,19 +65,16 @@ class ClusterExecutor:
     """Executes statements against every shard of a cluster, routing
     each shard's work to its cost-cheapest replica."""
 
-    def __init__(self, cluster, use_synopsis: Optional[bool] = None) -> None:
+    def __init__(self, cluster) -> None:
         self.cluster = cluster
         self.router = cluster.router
-        self.use_synopsis = use_synopsis
         self._executors: Dict[Tuple[int, int], ShardExecutor] = {}
 
     def executor_for(self, shard: int, replica: int) -> ShardExecutor:
         key = (shard, replica)
         executor = self._executors.get(key)
         if executor is None:
-            executor = ShardExecutor(
-                self.cluster, shard, replica, use_synopsis=self.use_synopsis
-            )
+            executor = ShardExecutor(self.cluster, shard, replica)
             self._executors[key] = executor
         return executor
 

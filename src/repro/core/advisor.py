@@ -240,8 +240,7 @@ class Recommendation:
                     f"({shipping.get('base_bytes', 0)} bytes), "
                     f"{shipping.get('delta_syncs', 0)} deltas "
                     f"({shipping.get('delta_bytes', 0)} bytes), "
-                    f"{shipping.get('rebases', 0)} rebases, "
-                    f"{shipping.get('legacy_ships', 0)} legacy"
+                    f"{shipping.get('rebases', 0)} rebases"
                 )
         compression = self.compression_stats
         if compression:

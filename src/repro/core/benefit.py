@@ -42,7 +42,7 @@ and sub-configuration benefits automatically.
 from __future__ import annotations
 
 import weakref
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.candidates import CandidateIndex, CandidateKey
 from repro.core.config import IndexConfiguration
@@ -59,24 +59,20 @@ from repro.xpath.patterns import PathPattern
 class ConfigurationEvaluator:
     """Benefit/cost oracle for index configurations over one workload.
 
-    ``coupling`` is the shared :class:`WhatIfSession`; a bare
-    :class:`Optimizer` is also accepted (it is adopted into a private
-    session) for backward compatibility and tests.
+    ``session`` is the shared :class:`WhatIfSession` every cost comes
+    from.
     """
 
     def __init__(
         self,
         database,
-        coupling: Union[WhatIfSession, Optimizer],
+        session: WhatIfSession,
         workload: Workload,
         maintenance_constants: MaintenanceConstants = MaintenanceConstants(),
         naive: bool = False,
     ) -> None:
         self.database = database
-        if isinstance(coupling, WhatIfSession):
-            self.session = coupling
-        else:
-            self.session = WhatIfSession.adopt(coupling)
+        self.session = session
         self.workload = workload
         self.maintenance_constants = maintenance_constants
         self.naive = naive

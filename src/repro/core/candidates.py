@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.optimizer.optimizer import Optimizer, OptimizerMode
+from repro.optimizer.session import WhatIfSession
 from repro.query.workload import Workload
 from repro.robustness.errors import StatisticsUnavailable
 from repro.storage.catalog import IndexDefinition
@@ -163,13 +163,12 @@ class CandidateSet:
                     general.affected |= basic.affected
 
 
-def enumerate_basic_candidates(coupling, workload: Workload) -> CandidateSet:
+def enumerate_basic_candidates(
+    session: WhatIfSession, workload: Workload
+) -> CandidateSet:
     """Run every workload statement through Enumerate Indexes mode and
-    collect the basic candidate set.
-
-    ``coupling`` is a :class:`~repro.optimizer.session.WhatIfSession`
-    (preferred -- enumeration results are cached per statement) or a bare
-    :class:`Optimizer` (tests, backward compatibility).
+    collect the basic candidate set.  Enumeration results are cached per
+    statement in ``session``.
     """
     candidates = CandidateSet()
     eligible = [
@@ -177,17 +176,9 @@ def enumerate_basic_candidates(coupling, workload: Workload) -> CandidateSet:
         for position, entry in enumerate(workload)
         if hasattr(entry.statement, "collection")
     ]
-    if isinstance(coupling, Optimizer):
-        results = [
-            coupling.optimize(statement, OptimizerMode.ENUMERATE)
-            for _, statement in eligible
-        ]
-    else:
-        # Sessions expose a batch entry point so a parallel session can
-        # fan the whole workload out in one dispatch.
-        results = coupling.enumerate_batch(
-            [statement for _, statement in eligible]
-        )
+    # The batch entry point lets a parallel session fan the whole
+    # workload out in one dispatch.
+    results = session.enumerate_batch([statement for _, statement in eligible])
     for (position, _), result in zip(eligible, results):
         for enumerated in result.candidates:
             candidate = candidates.get_or_add(

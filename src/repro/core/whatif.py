@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.core.config import IndexConfiguration
-from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.session import WhatIfSession
 from repro.query.workload import Workload
 
@@ -90,22 +89,16 @@ def analyze(
     workload: Workload,
     configuration: IndexConfiguration,
     session: Optional[WhatIfSession] = None,
-    optimizer: Optional[Optimizer] = None,
     name_prefix: str = "whatif",
 ) -> WhatIfReport:
     """Evaluate ``configuration`` statement by statement as virtual
     indexes; nothing is built.
 
     Pass the ``session`` of the advisor that produced the configuration
-    to reuse its warm cost cache.  ``optimizer`` is accepted for backward
-    compatibility and adopted into a private session.
+    to reuse its warm cost cache.
     """
     if session is None:
-        session = (
-            WhatIfSession.adopt(optimizer)
-            if optimizer is not None
-            else WhatIfSession(database)
-        )
+        session = WhatIfSession(database)
     definitions = session.definitions_for(configuration)
     display = {
         definition.name: f"{name_prefix}_{i}"

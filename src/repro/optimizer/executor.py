@@ -9,7 +9,6 @@ virtual indexes cannot be used for query execution").
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Set, Tuple
@@ -61,35 +60,18 @@ class Executor:
     """Executes statements using the plans the optimizer picks."""
 
     def __init__(
-        self,
-        database,
-        optimizer: Optional[Optimizer] = None,
-        session: Optional[WhatIfSession] = None,
-        use_synopsis: Optional[bool] = None,
+        self, database, session: Optional[WhatIfSession] = None
     ) -> None:
         #: Execution reads one concrete database (a cluster handed in
         #: here resolves to its primary replica -- scatter-gather over
         #: every shard is :class:`repro.cluster.ClusterExecutor`'s job;
         #: use :func:`create_executor` to pick automatically).
         self.database = resolve_database(database)
-        if session is None:
-            session = (
-                WhatIfSession.adopt(optimizer)
-                if optimizer is not None
-                else WhatIfSession(database)
-            )
         #: All planning goes through the session: NORMAL-mode plans are
         #: cached per statement and invalidated on database modification.
-        self.session = session
-        #: Resolve predicate-free absolute paths through the per-document
-        #: path synopsis (matcher bitmap + node-id lookup) instead of a
-        #: tree walk.  Results are bit-identical either way (pinned by
-        #: tests/test_executor_synopsis.py); the toggle exists for the
-        #: differential harness and as an escape hatch
-        #: (``REPRO_SYNOPSIS_EXEC=0``).
-        if use_synopsis is None:
-            use_synopsis = os.environ.get("REPRO_SYNOPSIS_EXEC", "1") != "0"
-        self.use_synopsis = use_synopsis
+        self.session = (
+            session if session is not None else WhatIfSession(database)
+        )
         self._entries_scanned = 0
 
     @property
@@ -133,7 +115,7 @@ class Executor:
                     continue
         for document in documents:
             docs_examined += 1
-            for node in _binding_nodes(document, query, self.use_synopsis):
+            for node in _binding_nodes(document, query):
                 rows += 1
                 if collect_output:
                     output.append(_render_result(node, query))
@@ -224,7 +206,7 @@ class Executor:
                     continue
         for document in outer_documents:
             docs_examined += 1
-            for node in _binding_nodes(document, outer_query, self.use_synopsis):
+            for node in _binding_nodes(document, outer_query):
                 keys = _join_keys(node, variant.left_join_path)
                 if keys:
                     outer_rows.append((node, keys))
@@ -256,7 +238,7 @@ class Executor:
                             docs_examined += 1
                             probed_docs[doc_id] = [
                                 (n, _join_keys(n, variant.right_join_path))
-                                for n in _binding_nodes(document, inner_query, self.use_synopsis)
+                                for n in _binding_nodes(document, inner_query)
                             ]
                         matches.extend(probed_docs[doc_id])
                 seen = set()
@@ -270,7 +252,7 @@ class Executor:
             by_key: dict = {}
             for document in inner_collection:
                 docs_examined += 1
-                for node in _binding_nodes(document, inner_query, self.use_synopsis):
+                for node in _binding_nodes(document, inner_query):
                     node_keys = _join_keys(node, variant.right_join_path)
                     for key in node_keys:
                         by_key.setdefault(key, []).append((node, node_keys))
@@ -335,7 +317,7 @@ class Executor:
             except KeyError:
                 continue
             docs_examined += 1
-            if _delete_matches(document, statement, self.use_synopsis):
+            if _delete_matches(document, statement):
                 victims.append(doc_id)
         self._delete_documents(statement.collection, victims)
         return ExecutionResult(
@@ -357,7 +339,7 @@ class Executor:
             self.database.delete_document(collection_name, doc_id)
 
 
-def create_executor(target, **kwargs):
+def create_executor(target):
     """The right executor for a storage target: a scatter-gather
     :class:`~repro.cluster.ClusterExecutor` for a cluster (every shard
     visited, DML routed through shards), a plain :class:`Executor` for a
@@ -365,8 +347,8 @@ def create_executor(target, **kwargs):
     if hasattr(target, "replica_database"):
         from repro.cluster.executor import ClusterExecutor
 
-        return ClusterExecutor(target, **kwargs)
-    return Executor(target, **kwargs)
+        return ClusterExecutor(target)
+    return Executor(target)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +375,12 @@ def _synopsis_eligible(path) -> bool:
     )
 
 
-def _path_nodes(
-    document: XmlDocument, path, use_synopsis: bool
-) -> List[XmlNode]:
+def _path_nodes(document: XmlDocument, path) -> List[XmlNode]:
     """Nodes ``path`` reaches from the document root, in document order --
-    through the synopsis bitmap when enabled and eligible, else the
-    reference tree walk."""
-    if use_synopsis and _synopsis_eligible(path):
+    through the synopsis bitmap when the path is eligible, else the
+    reference tree walk (bit-identical; pinned by
+    tests/test_executor_synopsis.py)."""
+    if _synopsis_eligible(path):
         return pattern_nodes(document, _path_pattern(path))
     return evaluate_path(document, path)
 
@@ -411,12 +392,10 @@ def _path_pattern(path):
     return pattern_from_path(path)
 
 
-def _binding_nodes(
-    document: XmlDocument, query: Query, use_synopsis: bool = False
-) -> List[XmlNode]:
+def _binding_nodes(document: XmlDocument, query: Query) -> List[XmlNode]:
     """Binding-variable nodes of ``query`` in ``document`` that satisfy all
     where clauses."""
-    nodes = _path_nodes(document, query.binding_path, use_synopsis)
+    nodes = _path_nodes(document, query.binding_path)
     if not query.where:
         return nodes
     return [
@@ -438,12 +417,8 @@ def _clause_holds(node: XmlNode, clause: WhereClause) -> bool:
     )
 
 
-def _delete_matches(
-    document: XmlDocument,
-    statement: DeleteStatement,
-    use_synopsis: bool = False,
-) -> bool:
-    targets = _path_nodes(document, statement.selector_path, use_synopsis)
+def _delete_matches(document: XmlDocument, statement: DeleteStatement) -> bool:
+    targets = _path_nodes(document, statement.selector_path)
     if statement.op is None:
         return bool(targets)
     return any(

@@ -28,12 +28,10 @@ from repro.parallel.executors import (
     workers_from_env,
 )
 from repro.parallel.session import ParallelWhatIfSession, WorkerRuntime
-from repro.parallel.snapshot import EvaluationSnapshot
 from repro.storage.database import Database
 
 __all__ = [
     "EXECUTOR_CHOICES",
-    "EvaluationSnapshot",
     "ParallelWhatIfSession",
     "PoolBrokenError",
     "WorkerRuntime",

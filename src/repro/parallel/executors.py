@@ -3,7 +3,8 @@
 Three executor kinds, all driving the same worker code:
 
 * ``process`` (default) -- a ``concurrent.futures.ProcessPoolExecutor``;
-  the snapshot is pickled once and shipped via the pool initializer.
+  the base snapshot is shipped once via the pool initializer, and DML
+  afterwards ships only a delta sync (see :mod:`repro.parallel.snapshot`).
   ``fork``/``spawn``/``forkserver`` select the multiprocessing start
   method explicitly (``fork`` where available, otherwise the platform
   default).

@@ -118,19 +118,12 @@ class PagedExecutor:
         self,
         database,
         pool: BufferPool,
-        optimizer: Optional[Optimizer] = None,
         session: Optional[WhatIfSession] = None,
     ) -> None:
         self.database = database
         self.pool = pool
-        if session is None:
-            session = (
-                WhatIfSession.adopt(optimizer)
-                if optimizer is not None
-                else WhatIfSession(database)
-            )
-        self.session = session
         self._executor = Executor(database, session=session)
+        self.session = self._executor.session
 
     @property
     def optimizer(self) -> Optimizer:

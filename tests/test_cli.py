@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.cli import main, read_workload_file
+from repro.cli import _latency_percentile, main, read_workload_file
 from repro.storage.persist import load_database
 
 QUERY = "for $s in X('SDOC')/Security where $s/Yield > 9 return $s/Symbol"
@@ -474,3 +474,18 @@ class TestServe:
         assert main(["serve", dbdir, "--workload", stream,
                      "--budget", "0"]) == 2
         assert "budget" in capsys.readouterr().err
+
+
+class TestLatencyPercentile:
+    """``repro server`` reports nearest-rank p50/p99: the
+    ``ceil(fraction * n)``-th smallest sample."""
+
+    def test_whole_number_ranks_are_not_one_too_high(self):
+        assert _latency_percentile(list(range(1, 101)), 0.99) == 99
+        assert _latency_percentile(list(range(1, 11)), 0.50) == 5
+
+    def test_fractional_ranks_round_up(self):
+        assert _latency_percentile(list(range(1, 11)), 0.99) == 10
+        assert _latency_percentile(list(range(1, 101)), 0.07) == 7
+        assert _latency_percentile([3.0], 0.5) == 3.0
+        assert _latency_percentile([], 0.5) == 0.0

@@ -7,17 +7,18 @@ from repro.core.candidates import enumerate_basic_candidates
 from repro.core.config import IndexConfiguration
 from repro.core.generalization import generalize_candidates
 from repro.optimizer import Optimizer
+from repro.optimizer.session import WhatIfSession
 from repro.query import Workload
 from repro.storage.index import IndexValueType
 
 
 @pytest.fixture()
 def setup(tpox_db, tpox_wl):
-    optimizer = Optimizer(tpox_db)
-    candidates = enumerate_basic_candidates(optimizer, tpox_wl)
+    session = WhatIfSession(tpox_db)
+    candidates = enumerate_basic_candidates(session, tpox_wl)
     generalize_candidates(candidates)
     candidates.compute_sizes(tpox_db)
-    evaluator = ConfigurationEvaluator(tpox_db, optimizer, tpox_wl)
+    evaluator = ConfigurationEvaluator(tpox_db, session, tpox_wl)
     return candidates, evaluator
 
 
@@ -77,13 +78,12 @@ class TestSubConfigurationDecomposition:
     def test_matches_naive_evaluation(self, tpox_db, tpox_wl):
         """The efficient evaluation must return exactly the same benefit
         as re-optimizing the entire workload."""
-        optimizer = Optimizer(tpox_db)
-        candidates = enumerate_basic_candidates(optimizer, tpox_wl)
+        candidates = enumerate_basic_candidates(WhatIfSession(tpox_db), tpox_wl)
         generalize_candidates(candidates)
         candidates.compute_sizes(tpox_db)
-        fast = ConfigurationEvaluator(tpox_db, Optimizer(tpox_db), tpox_wl)
+        fast = ConfigurationEvaluator(tpox_db, WhatIfSession(tpox_db), tpox_wl)
         naive = ConfigurationEvaluator(
-            tpox_db, Optimizer(tpox_db), tpox_wl, naive=True
+            tpox_db, WhatIfSession(tpox_db), tpox_wl, naive=True
         )
         import itertools
 
@@ -98,11 +98,13 @@ class TestSubConfigurationDecomposition:
     def test_fewer_optimizer_calls_than_naive(self, tpox_db, tpox_wl):
         optimizer_fast = Optimizer(tpox_db)
         optimizer_naive = Optimizer(tpox_db)
-        candidates = enumerate_basic_candidates(Optimizer(tpox_db), tpox_wl)
+        candidates = enumerate_basic_candidates(WhatIfSession(tpox_db), tpox_wl)
         candidates.compute_sizes(tpox_db)
-        fast = ConfigurationEvaluator(tpox_db, optimizer_fast, tpox_wl)
+        fast = ConfigurationEvaluator(
+            tpox_db, WhatIfSession.adopt(optimizer_fast), tpox_wl
+        )
         naive = ConfigurationEvaluator(
-            tpox_db, optimizer_naive, tpox_wl, naive=True
+            tpox_db, WhatIfSession.adopt(optimizer_naive), tpox_wl, naive=True
         )
         basics = candidates.basics()
         configs = [IndexConfiguration(basics[: i + 1]) for i in range(len(basics))]
@@ -147,7 +149,7 @@ class TestAffectedSets:
         other_wl = Workload.from_statements(
             ["""for $s in X('SDOC')/Security where $s/Symbol = "Z" return $s"""]
         )
-        evaluator = ConfigurationEvaluator(tpox_db, Optimizer(tpox_db), other_wl)
+        evaluator = ConfigurationEvaluator(tpox_db, WhatIfSession(tpox_db), other_wl)
         assert evaluator.affected_set(symbol) == frozenset({0})
 
     def test_general_candidate_affects_covered_statements(self, setup):

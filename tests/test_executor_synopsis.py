@@ -1,22 +1,24 @@
 """Differential tests for the synopsis-backed executor path.
 
-``Executor(use_synopsis=True)`` resolves predicate-free absolute paths
-through the per-document synopsis (compiled-matcher bitmap over interned
-path ids, then a node-id lookup) instead of a tree walk.  The contract:
-ExecutionResults are **bit-identical** to the walking executor -- rows,
-docs examined, index entries scanned, used indexes, and the rendered
-output -- across every suite workload, including the DML statements that
-mutate the database mid-stream.
+The executor resolves predicate-free absolute paths through the
+per-document synopsis (compiled-matcher bitmap over interned path ids,
+then a node-id lookup) instead of a tree walk.  The contract:
+ExecutionResults are **bit-identical** to the reference tree walk
+(``evaluate_path``) -- rows, docs examined, index entries scanned, used
+indexes, and the rendered output -- across every suite workload,
+including the DML statements that mutate the database mid-stream.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.optimizer.executor as executor_module
 from repro.optimizer.executor import Executor, _path_nodes
 from repro.query.workload import Workload
 from repro.workloads import synthetic, tpox, xmark
 from repro.xmlmodel.parser import parse_document
+from repro.xpath.evaluator import evaluate_path
 from repro.xpath.parser import parse_xpath
 
 
@@ -54,12 +56,11 @@ BENCHMARKS = {
 }
 
 
-def run_workload(build, use_synopsis):
+def run_workload(build):
     """Execute a whole workload (queries AND updates, in order) against a
     freshly built database and return the comparable result tuples."""
     database, workload = build()
-    executor = Executor(database, use_synopsis=use_synopsis)
-    assert executor.use_synopsis is use_synopsis
+    executor = Executor(database)
     results = []
     for entry in workload.entries:
         result = executor.execute(entry.statement, collect_output=True)
@@ -76,23 +77,16 @@ def run_workload(build, use_synopsis):
 
 
 @pytest.mark.parametrize("bench_name", sorted(BENCHMARKS))
-def test_synopsis_executor_is_bit_identical(bench_name):
+def test_synopsis_executor_is_bit_identical(bench_name, monkeypatch):
     build = BENCHMARKS[bench_name]
-    walking = run_workload(build, use_synopsis=False)
-    synopsis = run_workload(build, use_synopsis=True)
-    assert synopsis == walking
-
-
-def test_env_toggle_disables_fast_path(monkeypatch):
-    monkeypatch.setenv("REPRO_SYNOPSIS_EXEC", "0")
-    db = tpox.build_database(
-        num_securities=5, num_orders=5, num_customers=3, seed=3
+    synopsis = run_workload(build)
+    # The reference side: no path is synopsis-eligible, so every path
+    # takes the evaluate_path tree walk.
+    monkeypatch.setattr(
+        executor_module, "_synopsis_eligible", lambda path: False
     )
-    assert Executor(db).use_synopsis is False
-    monkeypatch.setenv("REPRO_SYNOPSIS_EXEC", "1")
-    assert Executor(db).use_synopsis is True
-    # An explicit argument always wins over the environment.
-    assert Executor(db, use_synopsis=False).use_synopsis is False
+    walking = run_workload(build)
+    assert synopsis == walking
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +129,8 @@ def linear_paths(draw):
 def test_pattern_nodes_equal_tree_walk(text, path_text):
     document = parse_document(text, 0)
     path = parse_xpath(path_text)
-    fast = _path_nodes(document, path, use_synopsis=True)
-    slow = _path_nodes(document, path, use_synopsis=False)
+    assert executor_module._synopsis_eligible(path)  # the fast path runs
+    fast = _path_nodes(document, path)
+    slow = evaluate_path(document, path)
     assert [n.node_id for n in fast] == [n.node_id for n in slow]
     assert [n.string_value() for n in fast] == [n.string_value() for n in slow]

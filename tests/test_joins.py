@@ -11,6 +11,7 @@ from repro import (
     IndexValueType,
     Optimizer,
     OptimizerMode,
+    WhatIfSession,
     Workload,
 )
 from repro.optimizer.plans import NestedLoopJoin
@@ -305,9 +306,9 @@ class TestJoinIntegration:
         workload = Workload.from_statements([JOIN_TEXT])
         advisor = IndexAdvisor(join_db, workload)
         candidates = list(advisor.candidates)
-        fast = ConfigurationEvaluator(join_db, Optimizer(join_db), workload)
+        fast = ConfigurationEvaluator(join_db, WhatIfSession(join_db), workload)
         naive = ConfigurationEvaluator(
-            join_db, Optimizer(join_db), workload, naive=True
+            join_db, WhatIfSession(join_db), workload, naive=True
         )
         for size in (1, 2, len(candidates)):
             config = IndexConfiguration(candidates[:size])

@@ -20,6 +20,7 @@ Three layers of pinning:
 """
 
 import asyncio
+import os
 import pickle
 
 import pytest
@@ -313,15 +314,20 @@ def _normalized(recommendation):
     return data
 
 
-def _advise_twice_with_dml(session_factory):
+def _advise_twice_with_dml(session_factory, num_orders=60, num_customers=30):
     """Two advisor runs over ONE session with single-collection DML in
-    between -- the delta protocol's canonical shape.  The build skews
-    bytes toward the unqueried collections so the touched collection
-    (SDOC, the one every workload query reads) both invalidates cached
-    costs AND stays under the rebase fraction: the second dispatch must
-    ship a real delta, not a rebase and not a pure cache replay."""
+    between -- the delta protocol's canonical shape.  The default build
+    skews bytes toward the unqueried collections so the touched
+    collection (SDOC, the one every workload query reads) both
+    invalidates cached costs AND stays under the rebase fraction: the
+    second dispatch must ship a real delta, not a rebase and not a pure
+    cache replay.  Shrinking the other collections makes SDOC dominate
+    the base, so the same DML forces a rebase instead."""
     database = tpox.build_database(
-        num_securities=12, num_orders=60, num_customers=30, seed=7
+        num_securities=12,
+        num_orders=num_orders,
+        num_customers=num_customers,
+        seed=7,
     )
     workload = Workload(list(WORKLOAD.entries))
     session = session_factory(database)
@@ -342,18 +348,22 @@ def _advise_twice_with_dml(session_factory):
         session.close()
 
 
+def _process_session(database, store=None):
+    return ParallelWhatIfSession(
+        database,
+        workers=2,
+        executor="process",
+        min_batch=1,
+        snapshot_store=store,
+    )
+
+
 class TestParallelConsumer:
     def test_process_workers_delta_ship_bit_identical(self):
         serial = _advise_twice_with_dml(WhatIfSession)[:2]
         store = SnapshotStore()
         first, second, session = _advise_twice_with_dml(
-            lambda db: ParallelWhatIfSession(
-                db,
-                workers=2,
-                executor="process",
-                min_batch=1,
-                snapshot_store=store,
-            )
+            lambda db: _process_session(db, store)
         )
         assert (first, second) == serial
         assert first != second  # the DML must actually matter
@@ -361,25 +371,46 @@ class TestParallelConsumer:
         assert shipping["base_ships"] == 1  # the pool was never rebuilt
         assert shipping["delta_syncs"] >= 1
         assert shipping["rebases"] == 0
-        assert shipping["legacy_ships"] == 0
         # the whole point: the delta cost a fraction of a re-ship
         assert shipping["delta_bytes"] < shipping["base_bytes"] / 3
 
-    def test_legacy_full_payload_escape_hatch_bit_identical(self):
-        serial = _advise_twice_with_dml(WhatIfSession)[:2]
+    def test_oversized_delta_rebases_bit_identical(self):
+        """A sync over REBASE_FRACTION of the base discards the pool and
+        re-ships the whole world as a fresh base."""
+        sizes = dict(num_orders=4, num_customers=2)
+        serial = _advise_twice_with_dml(WhatIfSession, **sizes)[:2]
         first, second, session = _advise_twice_with_dml(
-            lambda db: ParallelWhatIfSession(
-                db,
-                workers=2,
-                executor="process",
-                min_batch=1,
-                delta_ship=False,
-            )
+            _process_session, **sizes
         )
         assert (first, second) == serial
+        assert first != second
         shipping = session.stats()["workers"]["shipping"]
-        assert shipping["legacy_ships"] >= 2  # DML re-shipped the world
-        assert shipping["base_ships"] == 0
+        assert shipping["rebases"] >= 1
+        assert shipping["base_ships"] == 1 + shipping["rebases"]
+        assert shipping["delta_syncs"] == 0
+        assert session.stats()["workers"]["pool_failures"] == 0
+
+    def test_lost_sync_file_recomputes_serially(self, monkeypatch):
+        """A worker that cannot read its sync generation raises
+        StaleSnapshotError; the batch is recomputed serially and the
+        next pool starts from a fresh base, so it fails only once."""
+        serial = _advise_twice_with_dml(WhatIfSession)[:2]
+        prepare_sync = ParallelWhatIfSession._prepare_sync
+
+        def prepare_then_lose_file(session):
+            prepare_sync(session)
+            if session._sync_path is not None:
+                os.unlink(session._sync_path)
+
+        monkeypatch.setattr(
+            ParallelWhatIfSession, "_prepare_sync", prepare_then_lose_file
+        )
+        first, second, session = _advise_twice_with_dml(_process_session)
+        assert (first, second) == serial
+        workers = session.stats()["workers"]
+        assert workers["pool_failures"] == 1
+        assert workers["shipping"]["delta_syncs"] == 1
+        assert workers["shipping"]["base_ships"] == 2
 
 
 # ---------------------------------------------------------------------------
